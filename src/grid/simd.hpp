@@ -27,8 +27,11 @@
 #include <complex>
 #include <cstddef>
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX__)
 #include <immintrin.h>
+#endif
+
+#if defined(__AVX2__) && defined(__FMA__)
 #define RRS_SIMD_AVX2 1
 #elif defined(__ARM_NEON) || defined(__aarch64__)
 #include <arm_neon.h>
@@ -45,6 +48,20 @@ constexpr const char* backend() noexcept {
     return "neon";
 #else
     return "scalar";
+#endif
+}
+
+/// Clears the upper halves of the vector registers (`vzeroupper`).  Not a
+/// no-op: code built with AVX that returns without clearing them (GCC 12
+/// leaves them dirty on one path of TileService::generate_or_join, after a
+/// 32-byte TileAddress copy) makes every later SSE instruction on that
+/// thread pay the AVX→SSE transition penalty — glibc's scalar `log`/`cos`
+/// then run ~25× slower, and the Box–Muller lattice fill ~5× slower.  Call
+/// it at the entry of a hot loop that leaves AVX code for libm; it changes
+/// no arithmetic.  Compiles to nothing without AVX.
+inline void clear_upper_state() noexcept {
+#if defined(__AVX__)
+    _mm256_zeroupper();
 #endif
 }
 

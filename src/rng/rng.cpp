@@ -3,6 +3,7 @@
 /// emitted code; headers stay cheap for downstream TUs) and the traced
 /// bulk lattice fill.
 
+#include "grid/simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/parallel_for.hpp"
@@ -17,6 +18,9 @@ template class PolarGaussian<SplitMix64>;
 template class PolarGaussian<Pcg64>;
 
 void GaussianLattice::fill(const Rect& window, Array2D<double>& out) const {
+    // One libm log + cos per point: clear any upper-YMM state a caller leaked
+    // here, where the penalty is paid (see simd::clear_upper_state).
+    simd::clear_upper_state();
     RRS_TRACE_SPAN("noise.fill");
     static obs::Counter& points =
         obs::MetricsRegistry::global().counter("noise.points");

@@ -5,8 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
 #include "core/convolution.hpp"
 #include "core/direct_dft.hpp"
@@ -16,8 +14,12 @@
 #include "stats/autocorr.hpp"
 #include "stats/moments.hpp"
 
+#include "env_guard.hpp"
+
 namespace rrs {
 namespace {
+
+using test::ThreadCountGuard;
 
 ConvolutionGenerator make_gen(SpectrumPtr s, std::uint64_t seed, double eps = 1e-8,
                               std::size_t n = 128) {
@@ -161,34 +163,6 @@ TEST(Convolution, MoveConstructionPreservesBehaviour) {
 }
 
 // --- determinism sweeps ------------------------------------------------------
-
-/// Pins RRS_THREADS for a scope (max_threads() re-reads the environment on
-/// every call, so this changes the worker count of subsequent parallel_for
-/// regions in-process) and restores the previous value on destruction.
-class ThreadCountGuard {
-public:
-    explicit ThreadCountGuard(int threads) {
-        const char* prev = std::getenv("RRS_THREADS");
-        had_prev_ = prev != nullptr;
-        if (had_prev_) {
-            prev_ = prev;
-        }
-        ::setenv("RRS_THREADS", std::to_string(threads).c_str(), 1);
-    }
-    ~ThreadCountGuard() {
-        if (had_prev_) {
-            ::setenv("RRS_THREADS", prev_.c_str(), 1);
-        } else {
-            ::unsetenv("RRS_THREADS");
-        }
-    }
-    ThreadCountGuard(const ThreadCountGuard&) = delete;
-    ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
-
-private:
-    bool had_prev_ = false;
-    std::string prev_;
-};
 
 TEST(Convolution, BitIdenticalAcrossThreadCounts) {
     // The paper's successive-computation promise depends on the noise

@@ -30,8 +30,13 @@
 #include "grid/simd.hpp"
 #include "io/scene.hpp"
 
+#include "env_guard.hpp"
+
 namespace rrs {
 namespace {
+
+using test::EnvGuard;
+using test::ThreadCountGuard;
 
 ConvolutionGenerator make_gen(const SpectrumPtr& s, std::uint64_t seed,
                               double eps = 1e-8, std::size_t n = 64) {
@@ -40,39 +45,6 @@ ConvolutionGenerator make_gen(const SpectrumPtr& s, std::uint64_t seed,
                   : ConvolutionKernel::build(*s, GridSpec::unit_spacing(n, n));
     return ConvolutionGenerator(std::move(k), seed);
 }
-
-/// RAII env-var override (copied idiom from test_convolution.cpp).
-class EnvGuard {
-public:
-    EnvGuard(const char* name, const std::string& value) : name_(name) {
-        const char* prev = std::getenv(name_);
-        had_prev_ = prev != nullptr;
-        if (had_prev_) {
-            prev_ = prev;
-        }
-        ::setenv(name_, value.c_str(), 1);
-    }
-    ~EnvGuard() {
-        if (had_prev_) {
-            ::setenv(name_, prev_.c_str(), 1);
-        } else {
-            ::unsetenv(name_);
-        }
-    }
-    EnvGuard(const EnvGuard&) = delete;
-    EnvGuard& operator=(const EnvGuard&) = delete;
-
-private:
-    const char* name_;
-    bool had_prev_ = false;
-    std::string prev_;
-};
-
-class ThreadCountGuard : public EnvGuard {
-public:
-    explicit ThreadCountGuard(int threads)
-        : EnvGuard("RRS_THREADS", std::to_string(threads)) {}
-};
 
 /// SplitMix64 for the randomized-rect property tests: tiny, seedable, and
 /// independent of library RNG so replays are stable across refactors.

@@ -21,6 +21,8 @@
 #include "core/inhomogeneous.hpp"
 #include "service/tile_service.hpp"
 
+#include "env_guard.hpp"
+
 namespace rrs {
 namespace {
 
@@ -620,21 +622,28 @@ TEST(TileService, PyramidReturnsEveryLevelTopFirst) {
 // --- batch fan-out parallel scaling ------------------------------------------
 
 TEST(TileService, BatchFanOutScalesWithPoolThreads) {
-    // Regression guard for the nested-parallelism serialization bug: get_many
-    // fans cold tiles out across the pool, and each per-tile generation used
-    // to open a *nested* OpenMP team, oversubscribing the machine until the
-    // batch ran effectively serially.  With the in-pool-worker gate
-    // (parallel_for.hpp) each worker generates its tile serially and the
-    // batch parallelism is the pool's, so a 4-thread pool must beat a
-    // 1-thread pool by a healthy margin on a cold batch.
+    // get_many fans a cold batch out across the pool, one serial generation
+    // per worker (the in-pool-worker gate in parallel_for.hpp), so a
+    // 4-thread pool must beat a 1-thread pool by a healthy margin.  It fails
+    // when per-tile generation runs slower on pool workers than alone:
+    // nested OpenMP teams oversubscribing the cores, or dirty upper-vector
+    // state slowing the lattice's libm calls (simd::clear_upper_state).
+    // The clock covers only the fan-out: the generator is built once, up
+    // front, under RRS_THREADS=1, so no idle OpenMP team from the kernel
+    // build is still spin-waiting on the cores (that crowds a 4-worker
+    // batch, not a 1-worker one).  Output is bit-identical at any thread
+    // count, so it is the same generator.
     const unsigned hw = std::thread::hardware_concurrency();
     if (hw < 4) {
         GTEST_SKIP() << "batch fan-out scaling needs >= 4 hardware threads, "
                      << "this machine reports " << hw;
     }
 
-    const auto timed_batch = [](std::size_t pool_threads) {
-        const auto gen = make_gen(404);
+    const auto gen = [] {
+        const test::ThreadCountGuard serial_build(1);
+        return make_gen(404);
+    }();
+    const auto timed_batch = [&gen](std::size_t pool_threads) {
         ThreadPool pool(pool_threads);
         TileService::Options opt;
         opt.shape = TileShape{64, 64};
